@@ -17,8 +17,19 @@ from ..baselines import PowerGraphSystem, SedgeSystem
 from ..core import ClusterConfig, GRoutingCluster, WorkloadReport
 from ..costs import DEFAULT_COSTS, ETHERNET_COSTS
 from ..datasets import dataset_info
-from ..embedding import GraphEmbedding, embed_landmarks
-from ..landmarks import LandmarkDistances, LandmarkIndex, select_landmarks
+from ..embedding import (
+    GraphEmbedding,
+    batch_nelder_mead,
+    embed_landmarks,
+    lmds_triangulate,
+)
+from ..embedding.embedder import _node_objective_factory
+from ..landmarks import (
+    UNREACHABLE,
+    LandmarkDistances,
+    LandmarkIndex,
+    select_landmarks,
+)
 from .harness import ExperimentContext, Timer, emit, get_context
 
 #: The five routing schemes of Figures 8/9/14/15/16.
@@ -241,13 +252,6 @@ def table2_preprocessing(sample_nodes: int = 512) -> List[List[object]]:
     sub_matrix = distances.matrix[:, :sample_csr_nodes]
     sub = LandmarkDistances(distances.landmarks, sub_matrix)
     with Timer() as t_simplex:
-        from ..embedding.embedder import (
-            _node_objective_factory,
-            batch_nelder_mead,
-            lmds_triangulate,
-        )
-        from ..landmarks.distances import UNREACHABLE
-
         coords0 = lmds_triangulate(landmark_coords, sub.matrix)
         dists = sub.matrix.T.astype(np.float64)
         valid = (dists != UNREACHABLE) & (dists > 0)

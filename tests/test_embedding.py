@@ -166,6 +166,37 @@ class TestGraphEmbedding:
         with pytest.raises(ValueError):
             emb.add_node(int(csr.node_ids[0]), np.ones(dists.num_landmarks))
 
+    @pytest.mark.parametrize(
+        "batch, match",
+        [
+            ([5001, 5002, 0], "already embedded"),  # 0 is a graph node
+            ([5001, 5002, 5001], "appears twice"),
+        ],
+    )
+    def test_add_nodes_lmds_rejects_batch_atomically(self, ring_setup,
+                                                     batch, match):
+        _graph, csr, dists = ring_setup
+        emb = GraphEmbedding.embed(csr, dim=3, landmark_distances=dists,
+                                   method="lmds")
+        emb.add_nodes_lmds([5000], np.ones((1, dists.num_landmarks)))
+        before = {node: vec.copy() for node, vec in emb._extra.items()}
+        with pytest.raises(ValueError, match=match):
+            emb.add_nodes_lmds(batch,
+                               np.ones((len(batch), dists.num_landmarks)))
+        assert emb._extra.keys() == before.keys()
+        for node, vec in before.items():
+            assert emb._extra[node].tobytes() == vec.tobytes()
+        assert not emb.knows(5001)
+
+    def test_add_nodes_lmds_rejects_mismatched_vectors(self, ring_setup):
+        _graph, csr, dists = ring_setup
+        emb = GraphEmbedding.embed(csr, dim=3, landmark_distances=dists,
+                                   method="lmds")
+        with pytest.raises(ValueError, match="distance vectors"):
+            emb.add_nodes_lmds([5001, 5002],
+                               np.ones((1, dists.num_landmarks)))
+        assert emb._extra == {}
+
     def test_add_node_with_no_information_lands_at_centroid(self, ring_setup):
         _graph, csr, dists = ring_setup
         emb = GraphEmbedding.embed(csr, dim=3, landmark_distances=dists,

@@ -332,8 +332,8 @@ class TestOptimizerProperties:
         rng = np.random.default_rng(seeds)
         goals = rng.uniform(-3, 3, size=(n, 3))
 
-        def batch(points):
-            return ((points - goals) ** 2).sum(axis=1)
+        def batch(points, rows):
+            return ((points - goals[rows]) ** 2).sum(axis=1)
 
         _best, values = batch_nelder_mead(batch, np.zeros((n, 3)),
                                           max_iter=500)
